@@ -5,21 +5,13 @@ flits/cycle/node, gated fractions 0.0/0.4/0.6/0.8, all five mechanisms)
 under both simulation kernels, asserts their results are identical, and
 writes ``BENCH_kernel.json`` at the repo root.
 
-Three ratios are recorded per cell:
+Two ratios are recorded per cell:
 
 * ``dense_over_active`` — in-tree dense/active wall-clock ratio.  Both
   kernels share the flattened router/handshake hot paths, so this
   isolates the *kernel* win (event wheel + active set).  It is
   hardware-independent enough to serve as the CI regression guard
   (``--check``).
-* ``active_over_batched`` — solo-active wall-clock over the *per
-  replica* wall-clock of one ``run_spec_batch`` invocation stepping
-  ``batch_size`` seed-varied replicas of the cell (the first replica's
-  result must equal the solo run).  Per-replica phases dominate this
-  workload (see docs/performance.md), so honest values sit near parity
-  (~0.9–1.1x): the column exists to *prove batching costs nothing* per
-  replica while collapsing a grid into one invocation, and to catch
-  regressions in the batch engine itself.
 * ``seed_over_active`` — wall-clock of the pre-optimization tree (the
   commit recorded under ``seed_baseline``) over the current active
   kernel, measured on the same host in the same session via
@@ -121,35 +113,7 @@ def _geomean(xs: list[float]) -> float:
     return math.exp(sum(math.log(x) for x in xs) / len(xs)) if xs else 0.0
 
 
-def _best_batch(cell: dict, batch_size: int, repeats: int) -> tuple:
-    """Per-replica best-of-N wall-clock of one batched invocation.
-
-    The batch steps ``batch_size`` replicas of the cell that differ
-    only in seed (``seed .. seed + B - 1``); the first replica matches
-    the solo workload exactly, so its result doubles as the
-    batched-vs-active equivalence probe.
-    """
-    from repro.noc.batched import run_spec_batch
-    from repro.spec import ExperimentSpec
-
-    specs = [ExperimentSpec(mechanism=cell["mechanism"],
-                            pattern=WORKLOAD["pattern"],
-                            rate=WORKLOAD["rate"],
-                            gated_fraction=cell["gated_fraction"],
-                            warmup=WORKLOAD["warmup"],
-                            measure=WORKLOAD["measure"],
-                            seed=WORKLOAD["seed"] + i)
-             for i in range(batch_size)]
-    best, results = None, None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        results = run_spec_batch(specs)
-        t = time.perf_counter() - t0
-        best = t if best is None else min(best, t)
-    return best / batch_size, results[0]
-
-
-def measure(cells: list[dict], repeats: int, batch_size: int) -> list[dict]:
+def measure(cells: list[dict], repeats: int) -> list[dict]:
     from repro.harness import run_synthetic
 
     rows = []
@@ -160,26 +124,16 @@ def measure(cells: list[dict], repeats: int, batch_size: int) -> list[dict]:
             raise SystemExit(
                 f"KERNEL DIVERGENCE at {cell}: dense and active kernels "
                 f"produced different results")
-        t_batched, r_batched = _best_batch(cell, batch_size, repeats)
-        if r_active != r_batched:
-            raise SystemExit(
-                f"KERNEL DIVERGENCE at {cell}: batched replica 0 differs "
-                f"from the solo active run")
         cycles = WORKLOAD["warmup"] + WORKLOAD["measure"]
         row = dict(cell, active_s=round(t_active, 4),
                    dense_s=round(t_dense, 4),
-                   batched_s=round(t_batched, 4),
-                   batch_size=batch_size,
                    dense_over_active=round(t_dense / t_active, 3),
-                   active_over_batched=round(t_active / t_batched, 3),
                    active_cycles_per_s=round(cycles / t_active),
                    dense_cycles_per_s=round(cycles / t_dense))
         rows.append(row)
         print(f"  {cell['mechanism']:>8} f={cell['gated_fraction']:.1f}  "
               f"active {t_active*1e3:7.1f} ms   dense {t_dense*1e3:7.1f} ms"
-              f"   ratio {row['dense_over_active']:.2f}x   "
-              f"batched {t_batched*1e3:7.1f} ms/replica "
-              f"({row['active_over_batched']:.2f}x)", file=sys.stderr)
+              f"   ratio {row['dense_over_active']:.2f}x", file=sys.stderr)
     return rows
 
 
@@ -188,8 +142,7 @@ def summarize(rows: list[dict]) -> dict:
         return [r[key] for r in rows if key in r and pred(r)]
 
     out = {}
-    for key in ("dense_over_active", "active_over_batched",
-                "seed_over_active"):
+    for key in ("dense_over_active", "seed_over_active"):
         low = pick(key, lambda r: r["gated_fraction"] == 0.0)
         gated = pick(key, lambda r: r["gated_fraction"] >= 0.4)
         if low:
@@ -235,8 +188,7 @@ def snapshot_doc(rows: list[dict], repeats: int) -> dict:
     """The on-disk snapshot document for a set of measured cells."""
     return {
         "schema": 1,
-        "benchmark": "bench_fig6_uniform cells, dense vs active vs "
-                     "batched kernel",
+        "benchmark": "bench_fig6_uniform cells, dense vs active kernel",
         "generated_utc": datetime.now(timezone.utc).isoformat(
             timespec="seconds"),
         "host": {"python": platform.python_version(),
@@ -252,9 +204,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=3,
                     help="best-of-N wall-clock repeats (default 3)")
-    ap.add_argument("--batch-size", type=int, default=8,
-                    help="replicas per batched-kernel invocation "
-                         "(default 8)")
     ap.add_argument("--quick", action="store_true",
                     help="small grid (fractions 0.0/0.6) for CI smoke")
     ap.add_argument("--out", default=os.path.join(_ROOT, "BENCH_kernel.json"),
@@ -280,10 +229,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     cells = _cells(args.quick)
-    print(f"timing {len(cells)} cells x 3 kernels (batch size "
-          f"{args.batch_size}), best of {args.repeats} "
+    print(f"timing {len(cells)} cells x 2 kernels, best of {args.repeats} "
           f"(workload: {WORKLOAD})", file=sys.stderr)
-    rows = measure(cells, args.repeats, args.batch_size)
+    rows = measure(cells, args.repeats)
 
     if args.emit:
         with open(args.emit, "w") as fh:

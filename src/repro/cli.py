@@ -192,8 +192,7 @@ def cmd_synthetic(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .harness import (BatchedSweep, ParallelSweep, series_table,
-                          sweep_fractions)
+    from .harness import ParallelSweep, series_table, sweep_fractions
 
     mechs = args.mechanisms.split(",")
     fracs = [float(f) for f in args.fractions.split(",")]
@@ -210,26 +209,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.checkpoint_every:
         ck = {"checkpoint_every": args.checkpoint_every,
               "checkpoint_dir": args.checkpoint_dir}
-    if args.kernel == "batched":
-        engine = BatchedSweep(args.batch_size, use_cache=not args.no_cache,
-                              progress=progress if args.verbose else None,
-                              **ck)
-        workers = f"batch size {engine.batch_size}"
-    else:
-        engine = ParallelSweep(args.jobs, use_cache=not args.no_cache,
-                               progress=progress if args.verbose else None,
-                               **ck)
-        workers = f"{engine.max_workers} workers"
+    engine = ParallelSweep(args.jobs, use_cache=not args.no_cache,
+                           progress=progress if args.verbose else None, **ck)
     try:
         series = sweep_fractions(mechs, fracs, pattern=args.pattern,
                                  rate=args.rate, seed=args.seed,
+                                 kernel=args.kernel or None,
                                  warmup=args.warmup, measure=args.measure,
                                  engine=engine)
     except KeyboardInterrupt:
         return _interrupted("sweep", args)
     print(f"sweep: {len(mechs) * len(fracs)} tasks, "
           f"{engine.last_cache_hits} cache hits, "
-          f"executed {engine.last_mode} ({workers})")
+          f"executed {engine.last_mode} ({engine.max_workers} workers)")
     print()
     print(series_table("avg latency (cycles)", series, "avg_latency"))
     print()
@@ -500,24 +492,17 @@ def cmd_spec(args: argparse.Namespace) -> int:
         print(f"result digest      {stable_digest(result_to_dict(r))}")
         return 0
 
-    from .harness import BatchedSweep, ParallelSweep, run_sweep_spec, \
-        series_table
+    from .harness import ParallelSweep, run_sweep_spec, series_table
     from .harness.cache import result_to_dict, stable_digest
 
-    if args.kernel == "batched":
-        engine = BatchedSweep(args.batch_size, use_cache=not args.no_cache,
-                              **ck)
-        workers = f"batch size {engine.batch_size}"
-    else:
-        engine = ParallelSweep(args.jobs, use_cache=not args.no_cache, **ck)
-        workers = f"{engine.max_workers} workers"
+    engine = ParallelSweep(args.jobs, use_cache=not args.no_cache, **ck)
     try:
         series = run_sweep_spec(spec, engine=engine)
     except KeyboardInterrupt:
         return _interrupted("spec run", args)
     cells = sum(len(rs) for rs in series.values())
     print(f"sweep: {cells} cells, {engine.last_cache_hits} cache hits, "
-          f"executed {engine.last_mode} ({workers})")
+          f"executed {engine.last_mode} ({engine.max_workers} workers)")
     print()
     print(series_table("avg latency (cycles)", series, "avg_latency"))
     print()
@@ -560,21 +545,6 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
                   f"(done {payload['done']} cycles)")
             print(f"sim cycle          {net['cycle']}")
             print(f"in-flight packets  {len(net.get('packets', []))}")
-        elif kind == "run_spec_batch":
-            batch = payload["batch"]
-            nets = batch["nets"]
-            live = sum(1 for n in nets if n is not None)
-            finished = sum(1 for r in payload["results"] if r is not None)
-            print(f"replicas           {len(nets)} "
-                  f"({live} live, {finished} finished)")
-            print(f"sim cycle          {batch['cycle']}")
-            for i, s in enumerate(payload.get("specs", [])):
-                state = ("finished" if payload["results"][i] is not None
-                         else "draining" if payload["draining"][i]
-                         else "running")
-                print(f"  [{i}] {s.get('mechanism'):>8} "
-                      f"gated={s.get('gated_fraction')} "
-                      f"seed={s.get('seed')}  {state}")
         return 0
 
     # resume: finish the frozen run and print the usual result summary
@@ -592,19 +562,6 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
             r = run_spec(spec, resume_from=payload, **ck)
             _print_result(r)
             print(f"result digest      {stable_digest(result_to_dict(r))}")
-        elif kind == "run_spec_batch":
-            if "specs" not in payload:
-                print("repro checkpoint resume: error: batch checkpoint "
-                      "carries no spec definitions; resume by re-running "
-                      "the original sweep command", file=sys.stderr)
-                return 2
-            from .noc.batched import run_spec_batch
-            specs = [ExperimentSpec.from_dict(d) for d in payload["specs"]]
-            results = run_spec_batch(specs, resume_from=payload, **ck)
-            for s, r in zip(specs, results):
-                print(f"{s.mechanism:>9} gated={s.gated_fraction:.1f} "
-                      f"seed={s.seed}  "
-                      f"digest {stable_digest(result_to_dict(r))}")
         else:
             print(f"repro checkpoint resume: error: cannot resume a "
                   f"{kind!r} checkpoint", file=sys.stderr)
@@ -695,8 +652,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     svc = ExperimentService(
         args.host, args.port, workers=args.workers,
-        executor=args.executor, batch_size=args.batch_size,
-        use_cache=not args.no_cache,
+        executor=args.executor, use_cache=not args.no_cache,
         bench_source=args.bench_snapshot or None,
         telemetry_dir=args.telemetry_dir or None,
         state_dir=args.state_dir or None,
@@ -805,11 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default: auto / $REPRO_JOBS)")
     p.add_argument("--kernel", default="",
                    choices=[""] + list(KERNELS.names()),
-                   help="simulation kernel; 'batched' steps cells as "
-                        "in-process replica batches instead of pooling")
-    p.add_argument("--batch-size", type=int, default=8,
-                   help="replicas per batched-kernel invocation "
-                        "(default 8; only with --kernel batched)")
+                   help="simulation kernel (default: $REPRO_KERNEL or "
+                        "active)")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the on-disk result cache")
     p.add_argument("--verbose", "-v", action="store_true",
@@ -951,11 +904,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=2,
                    help="concurrently running jobs (default 2)")
     p.add_argument("--executor", default="pool",
-                   choices=("pool", "serial", "batched"),
+                   choices=("pool", "serial"),
                    help="how each job's cells are executed (default pool)")
-    p.add_argument("--batch-size", type=int, default=8,
-                   help="replicas per batched-kernel invocation "
-                        "(default 8; only with --executor batched)")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the shared on-disk result cache")
     p.add_argument("--bench-snapshot", default="",
@@ -1008,12 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default: auto / $REPRO_JOBS)")
             sp.add_argument("--kernel", default="",
                             choices=[""] + list(KERNELS.names()),
-                            help="override the spec's simulation kernel; "
-                                 "'batched' runs sweep cells as in-process "
-                                 "replica batches")
-            sp.add_argument("--batch-size", type=int, default=8,
-                            help="replicas per batched-kernel invocation "
-                                 "(default 8; only with --kernel batched)")
+                            help="override the spec's simulation kernel")
             sp.add_argument("--no-cache", action="store_true",
                             help="bypass the on-disk result cache")
             _add_checkpoint_args(sp)

@@ -16,8 +16,8 @@ Three layers:
 from .injector import (FAULTABLE_KINDS, REORDER_SAFE_KINDS,
                        FaultInjector, FaultPlan)
 from .modelcheck import CheckResult, ModelConfig, check_model
-from .soak import FaultSoakReport, FaultSoakSpec, diagnose_liveness, \
-    run_fault_soak, run_fault_soak_batch
+from .soak import (FaultSoakReport, FaultSoakSpec, diagnose_liveness,
+                   run_fault_soak)
 
 __all__ = [
     "FAULTABLE_KINDS",
@@ -31,5 +31,4 @@ __all__ = [
     "FaultSoakSpec",
     "diagnose_liveness",
     "run_fault_soak",
-    "run_fault_soak_batch",
 ]

@@ -178,95 +178,3 @@ def run_fault_soak(spec: FaultSoakSpec) -> FaultSoakReport:
         packets_dropped=s.packets_dropped,
         faults=injector.report(), violations=violations,
         diagnosis=diagnosis)
-
-
-def run_fault_soak_batch(specs) -> list[FaultSoakReport]:
-    """Run several soaks as one lockstep replica batch.
-
-    Fans a fault campaign (seeds x plans x schedules) across the
-    replicas of a single :class:`~repro.noc.batched.ReplicaBatch`
-    invocation; each replica produces a :class:`FaultSoakReport`
-    bit-identical to a solo :func:`run_fault_soak` of its spec.
-
-    Supported subset (mirrors what the batch kernel can isolate):
-
-    * every replica carries its **own** :class:`FaultInjector` built
-      from its spec's plan — injectors bind to exactly one network
-      (``FaultInjector.bind`` rejects sharing), and the per-cycle fault
-      hook runs in the replica's control-plane slot;
-    * mixed ``burst_cycles``/``drain_cap`` horizons are fine — a
-      replica that heals early retires from the batch without
-      perturbing its siblings;
-    * ``kernel`` must not be ``"dense"`` (dense networks bind no timing
-      wheels and cannot join a batch).
-    """
-    from ..noc.batched import ReplicaBatch
-    from ..spec import SpecError
-
-    batch = ReplicaBatch()
-    injectors: list[FaultInjector] = []
-    nets: list[Network] = []
-    for spec in specs:
-        if spec.kernel == "dense":
-            raise SpecError("dense-kernel soaks cannot be batched; "
-                            "run them through run_fault_soak")
-        cfg = NoCConfig(mechanism=spec.mechanism, width=spec.width,
-                        height=spec.height, seed=spec.seed)
-        net = Network(cfg, kernel="batched")
-        injector = FaultInjector(spec.plan)
-        net.attach_faults(injector)
-        if spec.epochs:
-            sched = random_epochs(
-                cfg.num_routers,
-                (spec.gated_fraction, 0.2, spec.gated_fraction),
-                (400, 900), seed=spec.seed)
-        else:
-            sched = StaticGating(cfg.num_routers, spec.gated_fraction,
-                                 seed=spec.seed)
-        net.set_gating(sched)
-        gen = TrafficGenerator(net, get_pattern("uniform", cfg), spec.rate,
-                               seed=spec.seed)
-        batch.add(net, gen)
-        injectors.append(injector)
-        nets.append(net)
-
-    n = len(nets)
-    reports: list[FaultSoakReport | None] = [None] * n
-    tick = [True] * n
-
-    def finish(i: int) -> None:
-        spec, net = specs[i], nets[i]
-        q = quiescent(net)
-        s = net.stats
-        reports[i] = FaultSoakReport(
-            spec=spec, quiescent=q, cycles=net.cycle,
-            packets_injected=s.packets_injected,
-            packets_ejected=s.packets_ejected,
-            packets_dropped=s.packets_dropped,
-            faults=injectors[i].report(),
-            violations=(_structural_violations(net, spec.mechanism)
-                        if q else ()),
-            diagnosis=() if q else diagnose_liveness(net))
-        batch.retire(i)
-
-    # mirror the solo lifecycle per replica: burst with traffic, then
-    # ``injector.stop`` at exactly ``burst_cycles``, then quiescence
-    # checks every 50 cycles (the solo drain loop's ``step(50)`` chunk)
-    # until healed or past ``burst_cycles + drain_cap``.
-    while batch.live_count:
-        t = batch.cycle
-        for i in range(n):
-            if reports[i] is not None:
-                continue
-            burst = specs[i].burst_cycles
-            if t < burst:
-                continue
-            if t == burst:
-                injectors[i].stop(t)
-                tick[i] = False
-            if (t - burst) % 50 == 0:
-                if t >= burst + specs[i].drain_cap or quiescent(nets[i]):
-                    finish(i)
-        if batch.live_count:
-            batch.step_cycle(tick)
-    return reports  # type: ignore[return-value]

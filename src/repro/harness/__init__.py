@@ -5,9 +5,8 @@ from .runner import (ExperimentResult, default_cycles, paper_length,
 from .cache import (CACHE_SCHEMA_VERSION, ResultCache, cache_enabled,
                     default_cache_dir, result_from_dict, result_to_dict,
                     spec_digest, stable_digest)
-from .parallel import (BatchedExecutor, BatchedSweep, Executor,
-                       ParallelSweep, PoolExecutor, SerialExecutor,
-                       SweepTask, batch_group_key, default_jobs,
+from .parallel import (Executor, ParallelSweep, PoolExecutor,
+                       SerialExecutor, SweepTask, default_jobs,
                        default_task_timeout, derive_task_seed)
 from .sweep import (FIGURE_FRACTIONS, FIGURE_MECHANISMS, FIGURE_RATES,
                     run_sweep_spec, sweep_fractions, sweep_rates)
@@ -19,10 +18,9 @@ from .tables import breakdown_table, normalized_table, series_table, timeline_ta
 __all__ = [
     "run_synthetic", "run_spec", "ExperimentResult", "default_cycles",
     "paper_length",
-    "BatchedSweep", "ParallelSweep", "SweepTask", "default_jobs",
+    "ParallelSweep", "SweepTask", "default_jobs",
     "default_task_timeout", "derive_task_seed",
-    "Executor", "SerialExecutor", "PoolExecutor", "BatchedExecutor",
-    "batch_group_key",
+    "Executor", "SerialExecutor", "PoolExecutor",
     "ResultCache", "cache_enabled", "default_cache_dir", "stable_digest",
     "spec_digest",
     "result_to_dict", "result_from_dict", "CACHE_SCHEMA_VERSION",

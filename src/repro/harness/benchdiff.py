@@ -30,17 +30,15 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 #: numeric per-cell metrics compared, in render order
-CELL_METRICS = ("dense_over_active", "active_over_batched",
-                "active_s", "dense_s", "batched_s",
+CELL_METRICS = ("dense_over_active", "active_s", "dense_s",
                 "active_cycles_per_s", "dense_cycles_per_s",
                 "seed_over_active")
 
 #: metrics where a *drop* beyond tolerance is a regression; a metric
-#: missing from either snapshot is simply not compared (old snapshots
-#: predating the ``batched`` column still diff cleanly — the hard
+#: missing from either snapshot is simply not compared (the hard
 #: named-cell failure for that case lives in ``bench_kernel.py
 #: --check``)
-GATED_METRICS = ("dense_over_active", "active_over_batched")
+GATED_METRICS = ("dense_over_active",)
 
 #: default allowed fractional drop (matches the CI gate's --tolerance)
 DEFAULT_TOLERANCE = 0.30
@@ -163,20 +161,16 @@ class BenchDiff:
     def render(self, *, markdown: bool = False) -> str:
         """Table of per-cell ratio/time deltas, regressions flagged."""
         headers = ["cell", "ratio old", "ratio new", "delta",
-                   "a/b old", "a/b new",
                    "active old", "active new", "flag"]
         rows: list[list[str]] = []
         for c in self.cells:
             ratio = c.deltas.get("dense_over_active")
-            batched = c.deltas.get("active_over_batched")
             act = c.deltas.get("active_s")
             rows.append([
                 f"{c.mechanism}@{c.gated_fraction:.1f}",
                 f"{ratio.old:.2f}x" if ratio else "-",
                 f"{ratio.new:.2f}x" if ratio else "-",
                 f"{ratio.rel:+.1%}" if ratio else "-",
-                f"{batched.old:.2f}x" if batched else "-",
-                f"{batched.new:.2f}x" if batched else "-",
                 f"{act.old * 1e3:.0f}ms" if act else "-",
                 f"{act.new * 1e3:.0f}ms" if act else "-",
                 "REGRESSION" if c.regression else "",

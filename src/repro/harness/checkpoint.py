@@ -25,8 +25,8 @@ from ..atomicio import atomic_write_json, read_json_checked
 from ..noc.snapshot import SNAPSHOT_SCHEMA_VERSION, check_schema
 
 __all__ = ["CheckpointInterrupt", "DEFAULT_CHECKPOINT_DIR",
-           "batch_checkpoint_path", "checkpoint_path", "load_checkpoint",
-           "write_checkpoint", "SNAPSHOT_SCHEMA_VERSION"]
+           "checkpoint_path", "load_checkpoint", "write_checkpoint",
+           "SNAPSHOT_SCHEMA_VERSION"]
 
 DEFAULT_CHECKPOINT_DIR = ".repro_checkpoints"
 
@@ -35,8 +35,7 @@ class CheckpointInterrupt(RuntimeError):
     """A checkpointing run stopped early because its ``interrupt`` hook
     fired; the just-written checkpoint at :attr:`path` resumes it.
 
-    Raised by :func:`~repro.harness.runner.run_spec` /
-    :func:`~repro.noc.batched.run_spec_batch` only at checkpoint
+    Raised by :func:`~repro.harness.runner.run_spec` only at checkpoint
     boundaries, immediately *after* the checkpoint file is persisted —
     so catching this always means a complete, resumable snapshot is on
     disk.  The experiment service maps it to job preemption.
@@ -58,18 +57,6 @@ def checkpoint_path(directory: str | os.PathLike[str] | None,
     root = Path(directory if directory is not None
                 else DEFAULT_CHECKPOINT_DIR)
     return root / f"ckpt-{spec_digest(spec)}.json"
-
-
-def batch_checkpoint_path(directory: str | os.PathLike[str] | None,
-                          specs) -> Path:
-    """Checkpoint file for a :func:`~repro.noc.batched.run_spec_batch`
-    invocation: one file per *batch*, keyed by the ordered list of
-    member cache digests."""
-    from .cache import spec_digest, stable_digest
-    root = Path(directory if directory is not None
-                else DEFAULT_CHECKPOINT_DIR)
-    digest = stable_digest({"batch": [spec_digest(s) for s in specs]})
-    return root / f"ckpt-batch-{digest}.json"
 
 
 def write_checkpoint(path: str | os.PathLike[str],

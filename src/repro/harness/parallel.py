@@ -5,22 +5,19 @@ independent simulations (mechanisms x gated fractions x rates).  Each
 one is a pure function of its parameters, so the engine splits the
 problem in two layers:
 
-* **Executors** (:class:`SerialExecutor`, :class:`PoolExecutor`,
-  :class:`BatchedExecutor`) know *how* to compute a batch of resolved
-  :class:`SweepTask`\\ s — in-process one by one, fanned over a
+* **Executors** (:class:`SerialExecutor`, :class:`PoolExecutor`) know
+  *how* to compute a batch of resolved :class:`SweepTask`\\ s —
+  in-process one by one, or fanned over a
   ``concurrent.futures.ProcessPoolExecutor`` (worker count
   auto-detected, ``REPRO_JOBS`` overrides, per-task timeout + one
-  in-process retry, serial fallback when the pool cannot be created),
-  or as lockstep replica batches through
-  :func:`repro.noc.batched.run_spec_batch`.  All three implement the
-  same small protocol (:class:`Executor`), so schedulers — the sweep
-  helpers, the benchmarks, and the experiment service
-  (:mod:`repro.service`) — pick a strategy without caring about
-  process pools, and a multi-host shard executor has a seam to slot
-  into later.
-* **Engines** (:class:`ParallelSweep` and its thin subclass
-  :class:`BatchedSweep`) wrap an executor with the shared policy:
-  consult the content-addressed on-disk cache first
+  in-process retry, serial fallback when the pool cannot be created).
+  Both implement the same small protocol (:class:`Executor`), so
+  schedulers — the sweep helpers, the benchmarks, and the experiment
+  service (:mod:`repro.service`) — pick a strategy without caring
+  about process pools, and a multi-host shard executor has a seam to
+  slot into later.
+* **Engines** (:class:`ParallelSweep`) wrap an executor with the
+  shared policy: consult the content-addressed on-disk cache first
   (:mod:`repro.harness.cache`), hand only the misses to the executor,
   persist fresh results, and report progress through an optional
   callback.
@@ -275,12 +272,6 @@ def _call(fn_and_item: tuple[Callable[[Any], Any], Any]) -> Any:
     return fn(item)
 
 
-def batch_group_key(task: SweepTask) -> tuple:
-    """Batch-compatibility key: replicas must share a topology, and
-    the config overrides are what determine it."""
-    return tuple(sorted((k, repr(v)) for k, v in task.overrides.items()))
-
-
 # -- executors ----------------------------------------------------------------
 
 @runtime_checkable
@@ -297,8 +288,7 @@ class Executor(Protocol):
     * :meth:`map` is the generic fan-out for units of work that are not
       sweep tasks (fault soaks, PARSEC benchmark cells).
     * ``mode`` describes how the *last* call actually ran (``serial`` /
-      ``parallel`` / ``batched``) — a pool that fell back reports
-      ``serial``.
+      ``parallel``) — a pool that fell back reports ``serial``.
     * :meth:`reset` clears any per-run bookkeeping; engines call it at
       the top of every run.
     """
@@ -446,98 +436,6 @@ class PoolExecutor:
         return fn(payload)  # second failure propagates to the caller
 
 
-class BatchedExecutor:
-    """Step compatible tasks as in-process lockstep replica batches.
-
-    Compatible tasks (same config overrides, hence same topology) are
-    grouped into chunks of ``batch_size`` and each chunk is executed as
-    one :func:`repro.noc.batched.run_spec_batch` invocation — one
-    kernel loop stepping all replicas in lockstep.  Results are
-    bit-identical to the solo paths (the kernel-equivalence and
-    executor-equivalence tests assert digest equality).  Execution is
-    in-process, so like the serial path there is no preemption.
-    """
-
-    def __init__(self, batch_size: int = 8) -> None:
-        self.batch_size = max(1, int(batch_size))
-        self.mode = "batched"
-        #: batches executed during the last execute()
-        self.last_batches = 0
-
-    def reset(self) -> None:
-        self.last_batches = 0
-
-    def execute(self, tasks: Sequence[SweepTask], emit: EmitFn) -> None:
-        from ..noc.batched import run_spec_batch
-
-        self.mode = "batched"
-        groups: dict[tuple, list[int]] = {}
-        for i, task in enumerate(tasks):
-            groups.setdefault(batch_group_key(task), []).append(i)
-        for idxs in groups.values():
-            for start in range(0, len(idxs), self.batch_size):
-                chunk = idxs[start:start + self.batch_size]
-                traced = any(tasks[i].span_context is not None
-                             for i in chunk)
-                if traced:
-                    import time as _time
-                    t_start = _time.time_ns()
-                    p0 = _time.perf_counter_ns()
-                specs = [tasks[i].spec() for i in chunk]
-                # checkpointing is batch-level: one snapshot file keyed
-                # by the chunk's member digests, auto-resumed when the
-                # same chunk re-runs after an interruption
-                ck_every = next((tasks[i].checkpoint_every for i in chunk
-                                 if tasks[i].checkpoint_every), None)
-                resume = None
-                ck_dir = None
-                if ck_every:
-                    from .checkpoint import batch_checkpoint_path
-                    ck_dir = next((tasks[i].checkpoint_dir for i in chunk
-                                   if tasks[i].checkpoint_dir is not None),
-                                  None)
-                    path = batch_checkpoint_path(ck_dir, specs)
-                    if path.exists():
-                        resume = path
-                batch_results = run_spec_batch(
-                    specs,
-                    schedules=[tasks[i].schedule for i in chunk],
-                    checkpoint_every=ck_every, checkpoint_dir=ck_dir,
-                    resume_from=resume,
-                    interrupt=next((tasks[i].interrupt for i in chunk
-                                    if tasks[i].interrupt is not None),
-                                   None))
-                self.last_batches += 1
-                if traced:
-                    # replicas step in lockstep inside one kernel loop,
-                    # so per-cell clocks do not exist: every traced cell
-                    # gets the shared batch interval, flagged as such
-                    from ..obs.spans import SpanCarrier, finished_span
-                    dur = _time.perf_counter_ns() - p0
-                    for i, res in zip(chunk, batch_results):
-                        ctx = tasks[i].span_context
-                        if ctx is None:
-                            emit(i, res)
-                            continue
-                        emit(i, SpanCarrier(res, [finished_span(
-                            "cell.run", ctx, start_unix_ns=t_start,
-                            duration_ns=dur, attributes={
-                                "pid": os.getpid(),
-                                "executor": "batched",
-                                "batch.size": len(chunk),
-                                "batch.shared_interval": True,
-                                "cell.seed": tasks[i].seed})]))
-                else:
-                    for i, res in zip(chunk, batch_results):
-                        emit(i, res)
-
-    def map(self, fn: Callable[[Any], Any],
-            items: Sequence[Any]) -> list[Any]:
-        # generic items cannot be replica-batched; run them serially
-        self.mode = "serial"
-        return [fn(it) for it in items]
-
-
 # -- engines ------------------------------------------------------------------
 
 class ParallelSweep:
@@ -589,8 +487,8 @@ class ParallelSweep:
         Zero-arg preemption poll, checked at every checkpoint boundary;
         returning true stops the run with
         :class:`~repro.harness.checkpoint.CheckpointInterrupt` after
-        persisting the checkpoint.  Only honored by in-process
-        executors (serial/batched) — a bound callable does not pickle
+        persisting the checkpoint.  Only honored by the in-process
+        serial executor — a bound callable does not pickle
         into pool workers, where preemption stays at task granularity.
     """
 
@@ -676,8 +574,7 @@ class ParallelSweep:
                         task.checkpoint_every = self.checkpoint_every
                         task.checkpoint_dir = self.checkpoint_dir
                         if self.interrupt is not None and isinstance(
-                                self.executor,
-                                (SerialExecutor, BatchedExecutor)):
+                                self.executor, SerialExecutor):
                             task.interrupt = self.interrupt
                     pending.append(i)
             self.last_cache_hits = total - len(pending)
@@ -743,49 +640,3 @@ class ParallelSweep:
             self._notify(i + 1, total, items[i], res, False)
         return results
 
-
-class BatchedSweep(ParallelSweep):
-    """Thin :class:`ParallelSweep` over a :class:`BatchedExecutor`.
-
-    The per-task contract is unchanged from :class:`ParallelSweep`:
-
-    * **seed** — tasks are :meth:`SweepTask.resolved` first, so every
-      replica carries the same explicit/derived seed it would under the
-      pool/serial executors, and results are bit-identical to the solo
-      paths (the kernel-equivalence tests assert digest equality).
-    * **cache** — each replica keeps its own
-      :meth:`~SweepTask.cache_key` (the kernel is excluded from cache
-      keys); hits skip batching, misses are batched and stored
-      individually, so serial/pooled/batched runs hit each other's
-      entries.
-    * **timeout** — execution is in-process, so like the serial path
-      there is no preemption.
-
-    Tasks carrying a live ``schedule`` object are batched with that
-    schedule (and stay uncached, as under :class:`ParallelSweep`).
-    """
-
-    def __init__(self, batch_size: int = 8, *, use_cache: bool = True,
-                 cache: ResultCache | None = None,
-                 progress: ProgressFn | None = None,
-                 span_tracer: Any | None = None,
-                 span_parent: Any | None = None,
-                 checkpoint_every: int | None = None,
-                 checkpoint_dir: Any | None = None,
-                 interrupt: Callable[[], bool] | None = None) -> None:
-        super().__init__(max_workers=1, use_cache=use_cache, cache=cache,
-                         progress=progress,
-                         executor=BatchedExecutor(batch_size),
-                         span_tracer=span_tracer, span_parent=span_parent,
-                         checkpoint_every=checkpoint_every,
-                         checkpoint_dir=checkpoint_dir,
-                         interrupt=interrupt)
-
-    @property
-    def batch_size(self) -> int:
-        return self.executor.batch_size  # type: ignore[attr-defined]
-
-    @property
-    def last_batches(self) -> int:
-        """Batches executed during the last run()."""
-        return self.executor.last_batches  # type: ignore[attr-defined]

@@ -73,7 +73,7 @@ def run_sweep_spec(spec: SweepSpec,
 def sweep_fractions(mechanisms: Sequence[str] = FIGURE_MECHANISMS,
                     fractions: Iterable[float] = FIGURE_FRACTIONS, *,
                     pattern: str = "uniform", rate: float = 0.02,
-                    seed: int = 1,
+                    seed: int = 1, kernel: str | None = None,
                     engine: ParallelSweep | None = None,
                     progress: ProgressFn | None = None,
                     **kwargs) -> dict[str, list[ExperimentResult]]:
@@ -81,9 +81,10 @@ def sweep_fractions(mechanisms: Sequence[str] = FIGURE_MECHANISMS,
 
     Extra keyword arguments are forwarded to ``run_synthetic`` (cycle
     counts, ``pattern_kwargs`` and :class:`~repro.config.NoCConfig`
-    overrides).  ``engine`` supplies a preconfigured executor; by
-    default a fresh :class:`ParallelSweep` (auto worker count, cache
-    on) is used.
+    overrides).  ``kernel`` selects every cell's simulation kernel
+    (``None``: the ``REPRO_KERNEL`` default).  ``engine`` supplies a
+    preconfigured executor; by default a fresh :class:`ParallelSweep`
+    (auto worker count, cache on) is used.
     """
     runner, overrides = _split_kwargs(dict(kwargs))
     spec = SweepSpec(mechanisms=tuple(mechanisms), pattern=pattern,
@@ -93,7 +94,7 @@ def sweep_fractions(mechanisms: Sequence[str] = FIGURE_MECHANISMS,
                      measure=runner.get("measure"), seed=seed,
                      drain=runner.get("drain", True),
                      keep_samples=runner.get("keep_samples", False),
-                     overrides=overrides)
+                     overrides=overrides, kernel=kernel)
     return run_sweep_spec(spec, engine=engine, progress=progress,
                           schedule=runner.get("schedule"))
 

@@ -44,7 +44,7 @@ class DelayChannel(Generic[T]):
     """A fixed-latency, order-preserving delay line."""
 
     __slots__ = ("latency", "_q", "wheel", "sink", "sink_dir", "scheduled",
-                 "sent", "owner")
+                 "sent")
 
     def __init__(self, latency: int = 1) -> None:
         if latency < 1:
@@ -62,10 +62,6 @@ class DelayChannel(Generic[T]):
         self.sink_dir = None
         #: True while this channel sits in some wheel bucket
         self.scheduled = False
-        #: replica index within a :class:`~repro.noc.batched.ReplicaBatch`
-        #: (0 outside of batched execution); the batch kernel's shared
-        #: wheels use it to drop registrations of retired replicas
-        self.owner = 0
 
     def bind(self, wheel: dict[int, list["DelayChannel[T]"]] | None,
              sink: "Router", sink_dir) -> None:

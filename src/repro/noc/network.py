@@ -532,15 +532,12 @@ class Network:
         data["packets"] = pkts.encode()
         return data
 
-    def restore_state(self, data: dict, *, clear_wheels: bool = True) -> None:
+    def restore_state(self, data: dict) -> None:
         """Rebuild from :meth:`snapshot_state` onto this fresh network.
 
         The network must be constructed from the same config (mechanism
         and topology are validated; the kernel may differ — wheels are
-        re-derived from channel queues).  ``clear_wheels=False`` is for
-        :class:`~repro.noc.batched.ReplicaBatch`, whose *shared* wheels
-        hold other replicas' registrations and are cleared once by the
-        batch before restoring each member.
+        re-derived from channel queues).
         """
         from ..gating.schedule import schedule_from_epochs
         from .snapshot import PacketIndex, require
@@ -564,9 +561,8 @@ class Network:
         self._change_points = tuple(schedule.change_points)
         self._cp_idx = data["cp_idx"]
         pkts = PacketIndex(data["packets"])
-        if clear_wheels:
-            self._flit_wheel.clear()
-            self._credit_wheel.clear()
+        self._flit_wheel.clear()
+        self._credit_wheel.clear()
         for r, rd in zip(self.routers, data["routers"]):
             r.restore_state(rd, pkts)
         # wheel registration is derived state: rebuild it for whatever

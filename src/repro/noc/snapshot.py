@@ -24,8 +24,7 @@ contract, enforced by ``tests/test_checkpoint.py``: for any cycle C,
     run to horizon  ≡  snapshot at C → restore → run the remainder
 
 by :class:`~repro.harness.runner.ExperimentResult` digest, on either
-kernel (``active``/``batched``; ``dense`` restores too — its channels
-simply bind no wheel).  See ``docs/checkpoint.md`` for the full
+kernel (``active`` or ``dense`` — dense channels simply bind no wheel).  See ``docs/checkpoint.md`` for the full
 state-ownership map.
 
 Versioning: :data:`SNAPSHOT_SCHEMA_VERSION` is bumped whenever the

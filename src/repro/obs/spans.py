@@ -181,9 +181,9 @@ def finished_span(name: str, context: SpanContext, *,
                   ) -> dict[str, Any]:
     """Fabricate a finished span record from externally measured times.
 
-    Used where per-item clocks do not exist — e.g. the batched executor,
-    which steps a whole replica batch in one lockstep loop and can only
-    attribute the shared batch interval to each cell.
+    Used where the time was measured without a live span — e.g. the
+    layered benchmark (``layerbench/``), which sums many short calls of
+    one phase and records the total as a single aggregate span.
     """
     return {
         "name": name,

@@ -270,10 +270,6 @@ WORKLOADS: Registry[Any] = Registry(
 KERNELS: Registry[Any] = Registry("simulation kernel")
 KERNELS.register("active", "_step_active")
 KERNELS.register("dense", "_step_dense")
-# ``batched`` aliases the active step for a solo Network (a batch of one
-# is just activity-driven execution); cross-replica batching lives in
-# repro.noc.batched / repro.harness.parallel.BatchedSweep
-KERNELS.register("batched", "_step_active")
 
 #: gating-schedule builders: name -> ``(cfg, args: dict) -> GatingSchedule``
 #: (self-registered by repro.gating.schedule)

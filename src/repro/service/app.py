@@ -97,8 +97,8 @@ from urllib.parse import parse_qsl, unquote
 from ..harness.benchdiff import load_bench_source
 from ..harness.cache import ResultCache, result_to_dict, stable_digest
 from ..harness.checkpoint import CheckpointInterrupt
-from ..harness.parallel import (BatchedExecutor, Executor, ParallelSweep,
-                                PoolExecutor, SerialExecutor, SweepTask)
+from ..harness.parallel import (Executor, ParallelSweep, PoolExecutor,
+                                SerialExecutor, SweepTask)
 from ..obs.export import spans_to_chrome_trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.spans import DEFAULT_SPAN_CAPACITY, SpanTracer
@@ -115,7 +115,7 @@ __all__ = ["ExperimentService", "EXECUTOR_KINDS"]
 log = logging.getLogger("repro.service")
 
 #: named executor strategies ``--executor`` accepts
-EXECUTOR_KINDS = ("pool", "serial", "batched")
+EXECUTOR_KINDS = ("pool", "serial")
 
 #: checkpoint cadence (cycles) when ``state_dir`` is set and no explicit
 #: ``checkpoint_every`` was given; 0 disables checkpointing entirely
@@ -193,8 +193,6 @@ class ExperimentService:
         :class:`~repro.harness.parallel.Executor` *instance* (shared by
         every job — handy for tests), or a zero-arg factory returning
         one.
-    batch_size:
-        Replicas per batched-kernel invocation (``executor="batched"``).
     pool_workers:
         Process count per job for ``executor="pool"`` (default: auto).
     cache, use_cache:
@@ -226,7 +224,6 @@ class ExperimentService:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  workers: int = 2,
                  executor: str | Executor | Callable[[], Executor] = "pool",
-                 batch_size: int = 8,
                  pool_workers: int | None = None,
                  cache: ResultCache | None = None,
                  use_cache: bool = True,
@@ -244,7 +241,6 @@ class ExperimentService:
         self.port: int | None = None
         self.worker_count = max(1, int(workers))
         self._executor = executor
-        self._batch_size = batch_size
         self._pool_workers = pool_workers
         self._cache = cache if cache is not None else ResultCache()
         self._use_cache = use_cache
@@ -464,8 +460,6 @@ class ExperimentService:
         if isinstance(ex, str):
             if ex == "serial":
                 return SerialExecutor()
-            if ex == "batched":
-                return BatchedExecutor(self._batch_size)
             return PoolExecutor(self._pool_workers)
         if isinstance(ex, Executor):
             return ex

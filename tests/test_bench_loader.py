@@ -20,9 +20,9 @@ SNAPSHOT = {
     "schema": 1,
     "cells": [
         {"mechanism": "gflov", "gated_fraction": 0.0,
-         "dense_over_active": 2.0, "active_over_batched": 1.0},
+         "dense_over_active": 2.0},
         {"mechanism": "gflov", "gated_fraction": 0.6,
-         "dense_over_active": 4.0, "active_over_batched": 1.1},
+         "dense_over_active": 4.0},
     ],
 }
 
@@ -86,7 +86,7 @@ def test_loader_rejects_malformed_snapshots(tmp_path):
 
 def measured(**overrides) -> dict:
     row = {"mechanism": "gflov", "gated_fraction": 0.0,
-           "dense_over_active": 2.0, "active_over_batched": 1.0}
+           "dense_over_active": 2.0}
     row.update(overrides)
     return row
 
@@ -115,10 +115,10 @@ def test_check_cells_names_missing_cells():
 
 def test_check_cells_names_predates_column_snapshots():
     old = {"cells": [{"mechanism": "gflov", "gated_fraction": 0.0,
-                      "dense_over_active": 2.0}]}  # no batched column
+                      "active_s": 0.5}]}  # no dense_over_active column
     failures = check_cells([measured()], old, source="OLD.json")
     assert len(failures) == 1
-    assert "active_over_batched" in failures[0]
+    assert "dense_over_active" in failures[0]
     assert "OLD.json predates the column" in failures[0]
 
 
@@ -146,8 +146,7 @@ def _load_bench_kernel_module():
 def test_bench_kernel_check_works_against_a_file_url(snapshot_path, capsys):
     bk = _load_bench_kernel_module()
     rows = [measured(), measured(gated_fraction=0.6,
-                                 dense_over_active=3.9,
-                                 active_over_batched=1.05)]
+                                 dense_over_active=3.9)]
     assert bk.check(rows, snapshot_path.as_uri(), 0.30) == 0
     assert "kernel check OK" in capsys.readouterr().out
 

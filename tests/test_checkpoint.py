@@ -8,8 +8,6 @@ results (``stable_digest`` equality over the full
 * snapshots survive a JSON round-trip (they are what lands on disk);
 * resuming may switch kernels (checkpoints are keyed by the
   kernel-independent cache digest);
-* a batch checkpoint restores every replica — including ones that had
-  already retired — and the whole batch stays digest-identical;
 * stale schemas and foreign specs are rejected, torn files downgrade
   to a fresh run instead of crashing;
 * ``CheckpointInterrupt`` fires only after a complete snapshot is on
@@ -32,10 +30,8 @@ from repro.faults.injector import FaultInjector, FaultPlan
 from repro.gating.schedule import StaticGating
 from repro.harness import run_spec
 from repro.harness.cache import result_to_dict, stable_digest
-from repro.harness.checkpoint import (CheckpointInterrupt,
-                                      batch_checkpoint_path, checkpoint_path,
+from repro.harness.checkpoint import (CheckpointInterrupt, checkpoint_path,
                                       load_checkpoint, write_checkpoint)
-from repro.noc.batched import run_spec_batch
 from repro.noc.network import Network
 from repro.noc.snapshot import SNAPSHOT_SCHEMA_VERSION, SnapshotError
 from repro.spec import ExperimentSpec
@@ -84,7 +80,7 @@ def interrupted_then_resumed(spec, tmp_path, *, every: int,
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
-@pytest.mark.parametrize("kernel", ["active", "batched"])
+@pytest.mark.parametrize("kernel", ["active", "dense"])
 def test_resume_digest_equality_all_mechanisms(mechanism, kernel, tmp_path):
     spec = spec_for(mechanism, gated_fraction=0.4, kernel=kernel)
     golden = digest(run_spec(spec))
@@ -105,46 +101,15 @@ def test_resume_digest_equality_at_any_cut(gated, fraction, tmp_path):
 
 
 def test_resume_may_switch_kernels(tmp_path):
-    """Checkpointed under ``active``, resumed under ``batched`` — the
+    """Checkpointed under one kernel, resumed under the other — the
     file is found (kernel-free digest) and the digest still matches."""
-    spec = spec_for("rflov", gated_fraction=0.5, kernel="active")
-    golden = digest(run_spec(spec))
-    assert interrupted_then_resumed(spec, tmp_path, every=120,
-                                    resume_kernel="batched") == golden
-
-
-def test_batch_resume_with_retired_replicas(tmp_path):
-    """A mixed-horizon batch checkpoints after some replicas retired;
-    the resumed batch finishes digest-identical to solo runs."""
-    specs = [spec_for("rflov", gated_fraction=0.2, measure=150),
-             spec_for("gflov", gated_fraction=0.6, seed=12),
-             spec_for("baseline", measure=200, seed=13),
-             spec_for("nord", gated_fraction=0.4, seed=14)]
-    golden = [digest(run_spec(s)) for s in specs]
-
-    with pytest.raises(CheckpointInterrupt):
-        run_spec_batch(specs, checkpoint_every=120, checkpoint_dir=tmp_path,
-                       interrupt=InterruptAfter(3))
-    path = batch_checkpoint_path(tmp_path, [s.resolved() for s in specs])
-    assert path.is_file()
-    payload = load_checkpoint(path, kind="run_spec_batch")
-    assert any(n is None for n in payload["batch"]["nets"]), \
-        "short-horizon replicas should have retired before the cut"
-    results = run_spec_batch(specs, checkpoint_every=120,
-                             checkpoint_dir=tmp_path, resume_from=path)
-    assert [digest(r) for r in results] == golden
-    assert not path.exists()
-
-
-def test_batch_checkpoint_rejects_foreign_specs(tmp_path):
-    specs = [spec_for("rflov"), spec_for("gflov", seed=12)]
-    with pytest.raises(CheckpointInterrupt):
-        run_spec_batch(specs, checkpoint_every=100, checkpoint_dir=tmp_path,
-                       interrupt=InterruptAfter(1))
-    path = batch_checkpoint_path(tmp_path, [s.resolved() for s in specs])
-    other = [spec_for("rflov"), spec_for("gflov", seed=99)]
-    with pytest.raises(SnapshotError):
-        run_spec_batch(other, resume_from=load_checkpoint(path))
+    for ckpt_kernel, resume_kernel in (("active", "dense"),
+                                       ("dense", "active")):
+        spec = spec_for("rflov", gated_fraction=0.5, kernel=ckpt_kernel)
+        golden = digest(run_spec(spec))
+        assert interrupted_then_resumed(spec, tmp_path, every=120,
+                                        resume_kernel=resume_kernel) \
+            == golden
 
 
 def test_resume_rejects_checkpoint_for_different_spec(tmp_path):

@@ -35,6 +35,27 @@ def test_sweep(capsys):
     assert "static power" in out and "gflov" in out
 
 
+def test_sweep_honors_kernel(capsys, monkeypatch):
+    """``repro sweep --kernel`` reaches every cell's Network."""
+    from repro.noc.network import Network
+
+    built = []
+    init = Network.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.kernel)
+
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    monkeypatch.setattr(Network, "__init__", spy)
+    rc, _ = run_cli(capsys, "sweep", "--mechanisms", "baseline,gflov",
+                    "--fractions", "0.4", "--warmup", "50",
+                    "--measure", "200", "-j", "1", "--no-cache",
+                    "--kernel", "dense")
+    assert rc == 0
+    assert built and set(built) == {"dense"}
+
+
 def test_parsec(capsys):
     rc, out = run_cli(capsys, "parsec", "--benchmarks", "swaptions",
                       "--mechanisms", "baseline", "--instructions", "60",
@@ -168,36 +189,18 @@ def test_checkpoint_inspect_and_resume(tmp_path, capsys):
     assert rc == 0 and golden in out
 
 
-def test_checkpoint_inspect_batch(tmp_path, capsys):
-    from repro.harness.checkpoint import (CheckpointInterrupt,
-                                          batch_checkpoint_path)
-    from repro.noc.batched import run_spec_batch
-    from repro.spec import ExperimentSpec
-
-    specs = [ExperimentSpec(mechanism=m, rate=0.05, gated_fraction=0.2,
-                            warmup=100, measure=400, seed=6,
-                            overrides={"width": 4, "height": 4})
-             for m in ("rflov", "gflov")]
-    with pytest.raises(CheckpointInterrupt):
-        run_spec_batch(specs, checkpoint_every=150, checkpoint_dir=tmp_path,
-                       interrupt=lambda: True)
-    ckpt = batch_checkpoint_path(tmp_path, [s.resolved() for s in specs])
-
-    rc, out = run_cli(capsys, "checkpoint", "inspect", str(ckpt))
-    assert rc == 0
-    assert "run_spec_batch" in out and "2 live" in out
-
-    rc, out = run_cli(capsys, "checkpoint", "resume", str(ckpt))
-    assert rc == 0 and out.count("digest") == 2
-    assert not ckpt.exists()
-
-
 def test_checkpoint_command_error_paths(tmp_path, capsys):
+    import json
+
     rc, _ = run_cli(capsys, "checkpoint", "inspect",
                     str(tmp_path / "missing.json"))
     assert rc == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"schema": 1, "kind": "mystery"}')
-    rc, _ = run_cli(capsys, "checkpoint", "resume", str(bad))
-    assert rc == 2
-    assert bad.exists(), "the CLI never unlinks what it could not use"
+    # the second kind is what the retired replica-batch kernel wrote
+    for kind in ("mystery", "run_spec_batch"):
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps({"schema": 1, "kind": kind}))
+        rc = main(["checkpoint", "resume", str(bad)])
+        assert rc == 2
+        assert (f"cannot resume a {kind!r} checkpoint"
+                in capsys.readouterr().err)
+        assert bad.exists(), "the CLI never unlinks what it could not use"

@@ -1,8 +1,8 @@
 """Executor-interface equivalence tests.
 
 The refactored engine runs the same :class:`SweepTask` list through any
-:class:`Executor` implementation.  The anchor: Serial, Pool, and
-Batched executors are **observationally identical** — digest-identical
+:class:`Executor` implementation.  The anchor: the Serial and Pool
+executors are **observationally identical** — digest-identical
 per-cell results, interchangeable shared-cache hits — so the service
 (or a user) can pick a strategy on operational grounds alone.
 """
@@ -12,10 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.cache import ResultCache, result_to_dict, stable_digest
-from repro.harness.parallel import (BatchedExecutor, BatchedSweep, Executor,
-                                    ParallelSweep, PoolExecutor,
-                                    SerialExecutor, SweepTask,
-                                    batch_group_key)
+from repro.harness.parallel import (Executor, ParallelSweep, PoolExecutor,
+                                    SerialExecutor, SweepTask)
 from repro.spec import SweepSpec
 
 SWEEP = SweepSpec(mechanisms=("baseline", "gflov"), pattern="uniform",
@@ -35,7 +33,6 @@ def digests(results) -> list[str]:
 EXECUTORS = {
     "serial": SerialExecutor,
     "pool": lambda: PoolExecutor(2),
-    "batched": lambda: BatchedExecutor(3),
 }
 
 
@@ -53,13 +50,11 @@ def test_same_sweep_is_digest_identical_across_executors(tmp_path):
                                cache=ResultCache(tmp_path / name))
         per_executor[name] = digests(engine.run(tasks()))
         assert engine.last_cache_hits == 0
-    assert per_executor["serial"] == per_executor["pool"] \
-        == per_executor["batched"]
+    assert per_executor["serial"] == per_executor["pool"]
 
 
 @pytest.mark.parametrize("warm,probe", [("serial", "pool"),
-                                        ("pool", "batched"),
-                                        ("batched", "serial")])
+                                        ("pool", "serial")])
 def test_cache_written_by_one_executor_hits_from_another(tmp_path, warm,
                                                          probe):
     cache = ResultCache(tmp_path / "shared")
@@ -74,7 +69,7 @@ def test_cache_written_by_one_executor_hits_from_another(tmp_path, warm,
     assert probe_digests == warm_digests
 
 
-def test_engines_are_thin_wrappers_over_their_executors(tmp_path):
+def test_engines_are_thin_wrappers_over_their_executors():
     eng = ParallelSweep(3, use_cache=False)
     assert isinstance(eng.executor, PoolExecutor)
     assert eng.executor.max_workers == 3
@@ -85,23 +80,3 @@ def test_engines_are_thin_wrappers_over_their_executors(tmp_path):
     eng.run(tasks()[:1])
     assert eng.last_mode == "serial"
 
-    bsweep = BatchedSweep(3, cache=ResultCache(tmp_path / "b"))
-    assert isinstance(bsweep.executor, BatchedExecutor)
-    assert bsweep.batch_size == 3
-    bsweep.run(tasks())
-    assert bsweep.last_mode == "batched"
-    # 4 tasks -> 2 groups of 2 compatible cells, batch size 3
-    assert bsweep.last_batches == 2
-
-
-def test_batch_group_key_separates_incompatible_cells():
-    # compatibility is topological: same overrides -> one group, even
-    # across mechanisms; different topologies must never share a batch
-    ts = tasks()
-    assert len({batch_group_key(t) for t in ts}) == 1
-    other = SweepSpec(mechanisms=("baseline",), pattern="uniform",
-                      rates=(0.05,), gated_fractions=(0.0,),
-                      warmup=50, measure=200, seed=21,
-                      overrides={"width": 2, "height": 2})
-    mixed = ts + [SweepTask.from_spec(s) for s in other.expand()]
-    assert len({batch_group_key(t) for t in mixed}) == 2

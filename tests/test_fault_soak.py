@@ -102,6 +102,16 @@ def test_report_ok_requires_quiescence_and_clean_invariants():
         good, violations=(("credit", 0, 0),)).ok
 
 
+def test_fault_injector_binds_one_network():
+    # one injector cannot serve two networks: bind() refuses re-binding
+    injector = FaultInjector(SMOKE_PLAN)
+    net_a = Network(NoCConfig(mechanism="gflov", seed=1))
+    net_b = Network(NoCConfig(mechanism="gflov", seed=2))
+    net_a.attach_faults(injector)
+    with pytest.raises(ValueError, match="already bound"):
+        net_b.attach_faults(injector)
+
+
 # -- tier-2: longer randomized campaigns ---------------------------------------
 
 @pytest.mark.soak
@@ -118,36 +128,3 @@ def test_extended_soak_campaign(mech, seed):
     assert rep.ok, (f"{mech} seed={spec.seed}: violations="
                     f"{rep.violations} diagnosis={rep.diagnosis}")
 
-
-# -- batched soak execution ---------------------------------------------------
-
-def test_batched_soak_matches_solo_reports():
-    """One ReplicaBatch invocation fanning a soak campaign must produce
-    reports equal to solo ``run_fault_soak`` runs, including mixed
-    burst lengths (replicas heal and retire at different cycles)."""
-    from repro.faults import run_fault_soak_batch
-
-    specs = [
-        dataclasses.replace(SMOKE_SPECS[0], burst_cycles=700),
-        dataclasses.replace(SMOKE_SPECS[1], burst_cycles=900, epochs=2),
-        dataclasses.replace(SMOKE_SPECS[2], burst_cycles=500),
-    ]
-    solo = [run_fault_soak(s) for s in specs]
-    batched = run_fault_soak_batch(specs)
-    assert batched == solo
-
-
-def test_batched_soak_rejects_dense_and_shared_injectors():
-    from repro.faults import run_fault_soak_batch
-    from repro.spec import SpecError
-
-    with pytest.raises(SpecError, match="dense"):
-        run_fault_soak_batch([dataclasses.replace(SMOKE_SPECS[0],
-                                                  kernel="dense")])
-    # one injector cannot serve two replicas: bind() refuses re-binding
-    injector = FaultInjector(SMOKE_PLAN)
-    net_a = Network(NoCConfig(mechanism="gflov", seed=1))
-    net_b = Network(NoCConfig(mechanism="gflov", seed=2))
-    net_a.attach_faults(injector)
-    with pytest.raises(ValueError, match="already bound"):
-        net_b.attach_faults(injector)

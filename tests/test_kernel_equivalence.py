@@ -416,190 +416,3 @@ def test_skip_cache_does_not_prevent_drain():
     asleep = {n for n in gated
               if net.routers[n].state is PowerState.SLEEP}
     assert asleep, "no gated router ever drained with the skip cache on"
-
-
-# -- batched replica execution ------------------------------------------------
-#
-# One ReplicaBatch invocation steps B independent replicas in lockstep
-# through shared timing wheels (``src/repro/noc/batched.py``); every
-# replica must produce an ExperimentResult digest-identical to a solo
-# ``active``-kernel run of the same spec (and therefore to ``dense``,
-# by the matrix above).
-
-_BATCH_OVERRIDES = {"width": 4, "height": 4}  # small mesh keeps tier-1 fast
-_BATCH_FRACTIONS = (0.0, 0.4, 0.8)
-_BATCH_SEEDS = (3, 7, 11)
-
-
-def _batch_specs(mechanism, pattern):
-    """A 9-replica batch: 3 fractions x 3 seeds with mixed rates."""
-    from repro.spec import ExperimentSpec
-
-    specs = []
-    for fi, fraction in enumerate(_BATCH_FRACTIONS):
-        for si, seed in enumerate(_BATCH_SEEDS):
-            specs.append(ExperimentSpec(
-                mechanism=mechanism, pattern=pattern,
-                rate=0.02 + 0.02 * si,  # mixed-rate batch
-                gated_fraction=fraction, warmup=150, measure=500,
-                seed=seed, overrides=dict(_BATCH_OVERRIDES)))
-    return specs
-
-
-def _digest(result):
-    from repro.harness.cache import result_to_dict, stable_digest
-    return stable_digest(result_to_dict(result))
-
-
-@pytest.mark.parametrize("mechanism", MECHANISMS)
-@pytest.mark.parametrize("pattern", ("uniform", "tornado"))
-def test_batched_replicas_digest_equal_active(mechanism, pattern):
-    import dataclasses
-
-    from repro.harness import run_spec
-    from repro.noc.batched import run_spec_batch
-
-    specs = _batch_specs(mechanism, pattern)
-    batched = run_spec_batch(specs)
-    for spec, br in zip(specs, batched):
-        solo = run_spec(dataclasses.replace(spec, kernel="active"))
-        assert _digest(br) == _digest(solo), (
-            f"{mechanism}/{pattern} seed={spec.seed} "
-            f"f={spec.gated_fraction} rate={spec.rate}: batched replica "
-            f"diverged from solo active run")
-
-
-def test_batched_kernel_registered_and_solo_equivalent():
-    """``kernel='batched'`` on a solo Network is the active step: specs
-    and CLI flags accept it everywhere a kernel name is accepted."""
-    from repro.registry import KERNELS
-
-    assert "batched" in KERNELS
-    a = run_synthetic("gflov", kernel="active", gated_fraction=0.4, **EQ_KW)
-    b = run_synthetic("gflov", kernel="batched", gated_fraction=0.4, **EQ_KW)
-    assert a == b
-
-
-def test_batched_rejects_dense_and_workload():
-    from repro.config import NoCConfig
-    from repro.noc.batched import ReplicaBatch, run_spec_batch
-    from repro.noc.network import Network
-    from repro.spec import ExperimentSpec, SpecError
-
-    with pytest.raises(SpecError, match="dense"):
-        ReplicaBatch().add(Network(NoCConfig(mechanism="baseline"),
-                                   kernel="dense"))
-    batch = ReplicaBatch()
-    net = Network(NoCConfig(mechanism="baseline"), kernel="active")
-    net.step(1)
-    with pytest.raises(SpecError, match="cycle 0"):
-        batch.add(net)
-    with pytest.raises(SpecError, match="workload"):
-        run_spec_batch([ExperimentSpec(mechanism="baseline",
-                                       workload="blackscholes")])
-
-
-# -- mixed horizons: early-retired replicas must not perturb siblings ---------
-
-def test_batched_mixed_horizons_digest_equal_active():
-    """Replicas with very different warmup/measure/drain settings in one
-    batch: each retires at its own cycle and still matches its solo run."""
-    import dataclasses
-
-    from repro.harness import run_spec
-    from repro.noc.batched import run_spec_batch
-    from repro.spec import ExperimentSpec
-
-    specs = [
-        ExperimentSpec(mechanism="gflov", rate=0.05, gated_fraction=0.5,
-                       warmup=50, measure=100, seed=2,
-                       overrides=dict(_BATCH_OVERRIDES)),
-        ExperimentSpec(mechanism="gflov", rate=0.03, gated_fraction=0.3,
-                       warmup=200, measure=900, seed=3,
-                       overrides=dict(_BATCH_OVERRIDES)),
-        ExperimentSpec(mechanism="baseline", rate=0.08, gated_fraction=0.0,
-                       warmup=100, measure=250, seed=4, drain=False,
-                       overrides=dict(_BATCH_OVERRIDES)),
-        ExperimentSpec(mechanism="rflov", rate=0.02, gated_fraction=0.6,
-                       warmup=60, measure=440, seed=5,
-                       overrides=dict(_BATCH_OVERRIDES)),
-    ]
-    batched = run_spec_batch(specs)
-    for spec, br in zip(specs, batched):
-        solo = run_spec(dataclasses.replace(spec, kernel="active"))
-        assert _digest(br) == _digest(solo), (
-            f"mixed-horizon batch: {spec.mechanism} seed={spec.seed} "
-            f"diverged from solo run")
-
-
-def test_retired_replica_contributes_no_wheel_work():
-    """Retiring a replica mid-flight must drop its pending shared-wheel
-    registrations (never deliver them) and freeze its network, while a
-    sibling replica keeps stepping undisturbed."""
-    from repro.config import NoCConfig
-    from repro.noc.batched import ReplicaBatch
-    from repro.noc.network import Network
-
-    def fresh(seed):
-        return Network(NoCConfig(mechanism="baseline", width=4, height=4,
-                                 seed=seed), kernel="batched")
-
-    batch = ReplicaBatch()
-    a = fresh(1)
-    b = fresh(1)
-    ia = batch.add(a)
-    batch.add(b)
-    # identical traffic into both replicas; then retire one mid-flight
-    for net in (a, b):
-        net.inject_packet(0, 15)
-        net.inject_packet(5, 10)
-    # step until replica a has a flit on a wire (a pending wheel
-    # registration for the retire to race against)
-    in_flight: list = []
-    for _ in range(30):
-        batch.step_cycle([False, False])
-        in_flight = [ch for r in a.routers
-                     for ch in r.out_flit.values() if ch]
-        if in_flight:
-            break
-    assert in_flight, "retire must race at least one pending delivery"
-    assert a._flits and b._flits, "packets should still be in flight"
-    frozen_cycle = a.cycle
-    batch.retire(ia)
-    for _ in range(60):
-        batch.step_cycle([False, False])
-    # the retired replica froze: no deliveries, cycle pinned, wheel
-    # registrations dropped (scheduled cleared, payload undelivered)
-    assert a.cycle == frozen_cycle
-    assert a._flits, "retired replica's flits must never be delivered"
-    assert all(not ch.scheduled for ch in in_flight)
-    # the sibling drained normally, exactly like a solo run
-    assert b.network_drained() and b.stats.packets_ejected == 2
-    solo = fresh(1)
-    solo.inject_packet(0, 15)
-    solo.inject_packet(5, 10)
-    solo.step(62)
-    assert b.stats.packets_ejected == solo.stats.packets_ejected
-    assert b.stats.latency_sum == solo.stats.latency_sum
-
-
-def test_shared_wheels_partition_by_owner():
-    """Channel ownership tags partition the merged wheels: every wired
-    channel of replica i carries owner i on both wheel kinds."""
-    from repro.config import NoCConfig
-    from repro.noc.batched import ReplicaBatch
-    from repro.noc.network import Network
-
-    batch = ReplicaBatch()
-    nets = [Network(NoCConfig(mechanism="gflov", width=4, height=4, seed=s),
-                    kernel="batched") for s in (1, 2, 3)]
-    for net in nets:
-        batch.add(net)
-    for i, net in enumerate(nets):
-        assert net._flit_wheel is batch._flit_wheel
-        assert net._credit_wheel is batch._credit_wheel
-        for r in net.routers:
-            for ch in r.out_flit.values():
-                assert ch.owner == i and ch.wheel is batch._flit_wheel
-            for ch in r.out_credit.values():
-                assert ch.owner == i and ch.wheel is batch._credit_wheel

@@ -86,7 +86,7 @@ def test_mechanism_registry_matches_config_tuple():
 
 
 def test_kernel_registry():
-    assert set(KERNELS.names()) == {"active", "dense", "batched"}
+    assert set(KERNELS.names()) == {"active", "dense"}
     # built-in kernels resolve to Network step-method names
     for name, step in KERNELS.items():
         assert isinstance(step, str) and step.startswith("_step_")

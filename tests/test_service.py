@@ -86,6 +86,13 @@ def service(tmp_path):
         svc.stop()
 
 
+def test_unknown_executor_rejected():
+    # "batched": the retired replica-batch executor
+    for name in ("threads", "batched"):
+        with pytest.raises(ValueError, match="unknown executor"):
+            ExperimentService(executor=name)
+
+
 def test_submit_poll_digest_matches_run_spec(service):
     _, client = service()
     snap = client.submit(FAST)

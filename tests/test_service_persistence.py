@@ -227,9 +227,13 @@ def test_journal_skips_unreplayable_envelopes(tmp_path):
     good = store.new_job(envelope())
     journal.submit(good)
     journal._record("submit", good, envelope={"spec": {"mechanism": "nope"}})
-    with pytest.warns(RuntimeWarning, match="unreplayable"):
+    # a job journaled for the retired replica-batch kernel
+    journal._record("submit", store.new_job(envelope()),
+                    envelope={"spec": dict(SLOWCELL, kernel="batched")})
+    with pytest.warns(RuntimeWarning, match="unreplayable") as caught:
         jobs = JobJournal(tmp_path).replay(JobStore())
     assert [j.id for j in jobs] == [good.id]
+    assert sum("unreplayable" in str(w.message) for w in caught) == 2
 
 
 def test_journal_replay_tolerates_torn_final_line(tmp_path):

@@ -26,9 +26,8 @@ import threading
 import pytest
 
 from repro.harness.cache import ResultCache
-from repro.harness.parallel import (BatchedExecutor, ParallelSweep,
-                                    PoolExecutor, SerialExecutor, SweepTask,
-                                    _execute_task)
+from repro.harness.parallel import (ParallelSweep, PoolExecutor,
+                                    SerialExecutor, SweepTask, _execute_task)
 from repro.obs.export import spans_to_chrome_trace, validate_chrome_trace
 from repro.obs.logging import JsonLogFormatter, configure_json_logging
 from repro.obs.metrics import (MetricsRegistry, parse_prometheus_text,
@@ -270,20 +269,6 @@ def test_cache_hits_traced_as_probes(tmp_path):
     probe = next(s for s in spans if s["name"] == "cache.probe")
     assert probe["attributes"]["cache.hit"] is True
     assert all(s["name"] != "cell.run" for s in spans)
-
-
-def test_batched_executor_fabricates_shared_interval_spans(tmp_path):
-    tracer = SpanTracer()
-    eng = ParallelSweep(executor=BatchedExecutor(4), use_cache=False,
-                        span_tracer=tracer)
-    eng.run([fast_task(seed=s) for s in (1, 2, 3)])
-    spans = [s for s in tracer.export() if s["name"] == "cell.run"]
-    assert len(spans) == 3
-    for s in spans:
-        assert s["attributes"]["executor"] == "batched"
-        assert s["attributes"]["batch.shared_interval"] is True
-        assert s["attributes"]["batch.size"] == 3
-    assert validate_span_tree(tracer.export()) == []
 
 
 def test_span_context_never_in_cache_key():

@@ -26,6 +26,9 @@ def test_unknown_pattern_lists_choices():
 def test_unknown_kernel_rejected():
     with pytest.raises(SpecError, match="active"):
         ExperimentSpec("gflov", kernel="hyperspeed")
+    # the retired replica-batch kernel is an unknown name like any other
+    with pytest.raises(SpecError, match=r"\['active', 'dense'\]"):
+        ExperimentSpec("gflov", kernel="batched")
 
 
 def test_unknown_workload_rejected():
